@@ -135,11 +135,6 @@ class FlatGrid:
     def position(self, flat_index: int) -> Position:
         return self._positions[flat_index]
 
-    def slot_of(self, position: Position) -> int:
-        """Dense ancilla slot of ``position`` (-1 when not an ancilla)."""
-        flat = self.flat_index(position)
-        return int(self.anc_slot[flat]) if flat >= 0 else -1
-
     def blocked_mask(self, blocked) -> Optional[np.ndarray]:
         """Boolean size-array marking blocked flat indices (None when empty)."""
         if not blocked:

@@ -54,7 +54,7 @@ class AncillaMst:
     :class:`~repro.fabric.flat.FlatGrid`: edge weights are computed in one
     numpy pass, Kruskal runs as a stable argsort plus a union-find sweep,
     and the resulting forest is rooted once so that path queries are LCA
-    walks over parent/depth arrays instead of per-pair BFS.
+    walks over parent/depth lists instead of per-pair BFS.
 
     Tree identity with the historical networkx implementation: the flat
     edge arrays enumerate edges in the exact insertion order of
@@ -76,11 +76,15 @@ class AncillaMst:
         positions = flat.anc_positions
 
         act = np.zeros(num, dtype=np.float64)
+        # position -> ancilla slot, for the path queries.
+        slot_of: Dict[Position, int] = {}
         for slot, position in enumerate(positions):
+            slot_of[position] = slot
             value = activity.get(position)
             if value:
                 act[slot] = value
         self._act = act
+        self._slot_of = slot_of
 
         # Kruskal over the flat edge arrays (see class docstring).
         tree_u: List[int] = []
@@ -111,14 +115,16 @@ class AncillaMst:
         self._tree_v = tree_v
 
         # Root every component at its smallest slot: parent/depth/component
-        # arrays answer any path query with an LCA walk.
+        # answer any path query with an LCA walk.  Plain lists, not numpy
+        # arrays: both the rooting loop and the walks index them one element
+        # at a time, and list items are Python ints already (no boxing).
         adjacency: List[List[int]] = [[] for _ in range(num)]
         for u, v in zip(tree_u, tree_v):
             adjacency[u].append(v)
             adjacency[v].append(u)
-        parent = np.full(num, -1, dtype=np.int32)
-        depth = np.zeros(num, dtype=np.int32)
-        component = np.full(num, -1, dtype=np.int32)
+        parent = [-1] * num
+        depth = [0] * num
+        component = [-1] * num
         for root in range(num):
             if component[root] >= 0:
                 continue
@@ -158,7 +164,7 @@ class AncillaMst:
         return self._lazy_tree
 
     def contains(self, position: Position) -> bool:
-        return self._flat.slot_of(position) >= 0
+        return position in self._slot_of
 
     def path(self, start: Position, goal: Position) -> Optional[List[Position]]:
         """The unique tree path between two ancilla tiles (inclusive).
@@ -178,36 +184,38 @@ class AncillaMst:
 
     def _compute_path(self, start: Position,
                       goal: Position) -> Optional[List[Position]]:
-        flat = self._flat
-        start_slot = flat.slot_of(start)
-        goal_slot = flat.slot_of(goal)
-        if start_slot < 0 or goal_slot < 0:
+        slot_of = self._slot_of
+        a = slot_of.get(start, -1)
+        b = slot_of.get(goal, -1)
+        if a < 0 or b < 0:
             return None
-        if start_slot == goal_slot:
+        if a == b:
             return [start]
         component = self._component
-        if component[start_slot] != component[goal_slot]:
+        if component[a] != component[b]:
             return None
         parent = self._parent
-        depth = self._depth
-        up_from_start = [start_slot]
-        up_from_goal = [goal_slot]
-        a, b = start_slot, goal_slot
-        while depth[a] > depth[b]:
+        depth_a = self._depth[a]
+        depth_b = self._depth[b]
+        up_from_start = [a]
+        up_from_goal = [b]
+        while depth_a > depth_b:
             a = parent[a]
             up_from_start.append(a)
-        while depth[b] > depth[a]:
+            depth_a -= 1
+        while depth_b > depth_a:
             b = parent[b]
             up_from_goal.append(b)
+            depth_b -= 1
         while a != b:
             a = parent[a]
             up_from_start.append(a)
             b = parent[b]
             up_from_goal.append(b)
-        positions = flat.anc_positions
-        path = [positions[slot] for slot in up_from_start]
-        path.extend(positions[slot] for slot in reversed(up_from_goal[:-1]))
-        return path
+        up_from_goal.pop()  # the common ancestor, already on the start side
+        up_from_goal.reverse()
+        up_from_start += up_from_goal
+        return list(map(self._flat.anc_positions.__getitem__, up_from_start))
 
     def bottleneck_activity(self, start: Position, goal: Position) -> float:
         """Maximum edge weight along the tree path (the minimax objective)."""
@@ -216,9 +224,9 @@ class AncillaMst:
             return 0.0
         # Every edge weight is max(act_u, act_v), so the path maximum equals
         # the maximum activity over all path nodes.
-        slot_of = self._flat.slot_of
+        slot_of = self._slot_of
         act = self._act
-        return float(max(act[slot_of(position)] for position in path))
+        return float(max(act[slot_of[position]] for position in path))
 
 
 #: Distinct sentinel: path caches legitimately store ``None`` values.
@@ -294,16 +302,6 @@ class AsyncMstPipeline:
             ))
             self._last_started = cycle
             self.computations_started += 1
-
-    def next_boundary(self, cycle: int) -> int:
-        """The next cycle at which the pipeline state can change."""
-        candidates = [pending.available_cycle for pending in self._pending]
-        if self._last_started is not None:
-            candidates.append(self._last_started + self.period)
-        else:
-            candidates.append(cycle)
-        future = [c for c in candidates if c > cycle]
-        return min(future) if future else cycle + self.period
 
 
 class IncrementalMst:

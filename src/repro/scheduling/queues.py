@@ -57,13 +57,13 @@ class QueueEntry:
     """
 
     __slots__ = ("gate_index", "gate_kind", "data_qubits", "role", "helper",
-                 "angle_level", "status", "sequence")
+                 "angle_level", "status", "sequence", "cost")
 
     def __init__(self, gate_index: int, gate_kind: str,
                  data_qubits: Tuple[int, ...], role: AncillaRole,
                  helper: Optional[Position] = None, angle_level: int = 0,
                  status: AncillaStatus = AncillaStatus.READY,
-                 sequence: int = 0) -> None:
+                 sequence: int = 0, cost: float = 0.0) -> None:
         self.gate_index = gate_index
         #: "cnot", "rz", "h", "edge_rotation"
         self.gate_kind = gate_kind
@@ -76,6 +76,9 @@ class QueueEntry:
         self.status = status
         #: Monotonic sequence number assigned at enqueue time (seniority order).
         self.sequence = sequence
+        #: Expected cycles the entry will occupy the tile once it reaches the
+        #: head; summed by :attr:`AncillaQueue.pending_cost`.
+        self.cost = cost
 
     def describe(self) -> str:
         qubits = ",".join(str(q) for q in self.data_qubits)
@@ -91,6 +94,9 @@ class AncillaQueue:
         #: The entry list, oldest first.  Shared, not copied: callers may
         #: iterate it directly on hot paths but must treat it as read-only.
         self.entries: List[QueueEntry] = []
+        #: Cached :attr:`pending_cost`; ``None`` after a removal, until the
+        #: next read re-sums.
+        self._pending_cost: Optional[float] = 0.0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -105,29 +111,42 @@ class AncillaQueue:
     def head(self) -> Optional[QueueEntry]:
         return self.entries[0] if self.entries else None
 
+    @property
+    def pending_cost(self) -> float:
+        """Sum of the entries' ``cost``, added left to right in entry order.
+
+        Cached: an enqueue extends the running sum, a removal drops it and
+        the next read re-sums every entry.  Either way the float equals a
+        fresh in-order summation (float addition is not associative).
+        """
+        total = self._pending_cost
+        if total is None:
+            total = 0.0
+            for entry in self.entries:
+                total += entry.cost
+            self._pending_cost = total
+        return total
+
     def enqueue(self, entry: QueueEntry) -> None:
         self.entries.append(entry)
+        if self._pending_cost is not None:
+            self._pending_cost += entry.cost
 
     def pop_head(self) -> QueueEntry:
         if not self.entries:
             raise IndexError("pop from empty ancilla queue")
+        self._pending_cost = None
         return self.entries.pop(0)
 
     def remove_gate(self, gate_index: int) -> int:
         """Remove every entry for ``gate_index``; returns how many were removed."""
-        before = len(self.entries)
-        self.entries = [entry for entry in self.entries
-                         if entry.gate_index != gate_index]
-        return before - len(self.entries)
-
-    def contains_gate(self, gate_index: int) -> bool:
-        return any(entry.gate_index == gate_index for entry in self.entries)
-
-    def entry_for_gate(self, gate_index: int) -> Optional[QueueEntry]:
-        for entry in self.entries:
-            if entry.gate_index == gate_index:
-                return entry
-        return None
+        entries = self.entries
+        kept = [entry for entry in entries if entry.gate_index != gate_index]
+        removed = len(entries) - len(kept)
+        if removed:
+            self.entries = kept
+            self._pending_cost = None
+        return removed
 
     def position_of_gate(self, gate_index: int) -> Optional[int]:
         for index, entry in enumerate(self.entries):
@@ -159,10 +178,11 @@ class QueueSet:
         self._queues: Dict[Position, AncillaQueue] = {
             position: AncillaQueue(position) for position in positions}
         self._sequence = 0
-        #: gate index -> queues it was enqueued on, so removal never scans
-        #: the whole fabric.  May hold stale positions (entries drained by
-        #: ``pop_head``); ``remove_gate`` is a no-op there.
-        self._gate_positions: Dict[int, List[Position]] = {}
+        #: gate index -> queues it was enqueued on (an insertion-ordered
+        #: set), so removal never scans the whole fabric.  May hold stale
+        #: positions (entries drained by ``pop_head``); ``remove_gate`` is a
+        #: no-op there.
+        self._gate_positions: Dict[int, Dict[Position, None]] = {}
 
     def __getitem__(self, position: Position) -> AncillaQueue:
         return self._queues[position]
@@ -182,18 +202,16 @@ class QueueSet:
         if entry.sequence == 0:
             entry.sequence = self.next_sequence()
         self._queues[position].enqueue(entry)
-        positions = self._gate_positions.setdefault(entry.gate_index, [])
-        if position not in positions:
-            positions.append(position)
+        positions = self._gate_positions.get(entry.gate_index)
+        if positions is None:
+            positions = self._gate_positions[entry.gate_index] = {}
+        positions[position] = None
         return entry
 
     def remove_gate_everywhere(self, gate_index: int) -> int:
         positions = self._gate_positions.pop(gate_index, ())
         return sum(self._queues[position].remove_gate(gate_index)
                    for position in positions)
-
-    def queue_length(self, position: Position) -> int:
-        return len(self._queues[position])
 
     def total_enqueued(self) -> int:
         return sum(len(queue) for queue in self._queues.values())

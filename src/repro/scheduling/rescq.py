@@ -37,6 +37,7 @@ turn the corresponding mechanism off so its contribution can be measured.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from ..circuits import Circuit, Gate
@@ -57,10 +58,24 @@ __all__ = ["RescqScheduler", "RescqPolicy"]
 # Task state machines
 # ---------------------------------------------------------------------------
 
-class _RzTask:
-    """Rz gate state machine.  ``__slots__`` classes, not dataclasses: task
-    fields are the most-touched state in every scheduling pass, and slot
-    access is measurably cheaper on the supported Pythons."""
+class _Task:
+    """Wake-index bookkeeping shared by every task kind, set when
+    :meth:`RescqPolicy._create_task` registers the task:
+
+    * ``seq`` — seniority: creation order, the order a sweep visits tasks in;
+    * ``woken`` — True while the task waits in the wake index for a visit;
+    * ``wake_at`` — cycle of its earliest pending timed wake (0: none).
+
+    ``__slots__`` classes, not dataclasses: task fields are the most-touched
+    state in every scheduling pass, and slot access is measurably cheaper on
+    the supported Pythons.
+    """
+
+    __slots__ = ("seq", "woken", "wake_at")
+
+
+class _RzTask(_Task):
+    """Rz gate state machine."""
 
     __slots__ = ("gate_index", "qubit", "theta", "limit", "candidates",
                  "attachment", "queues", "released", "release_cycle", "level",
@@ -97,7 +112,7 @@ class _RzTask:
         self.done = False
 
 
-class _CnotTask:
+class _CnotTask(_Task):
     __slots__ = ("gate_index", "control", "target", "plan", "queues",
                  "release_cycle", "started", "start_cycle")
 
@@ -115,7 +130,7 @@ class _CnotTask:
         self.start_cycle: Optional[int] = None
 
 
-class _HTask:
+class _HTask(_Task):
     __slots__ = ("gate_index", "qubit", "ancilla", "release_cycle", "started",
                  "start_cycle")
 
@@ -127,6 +142,24 @@ class _HTask:
         self.release_cycle = release_cycle
         self.started = False
         self.start_cycle: Optional[int] = None
+
+
+class _EftMemo(dict):
+    """Expected free time per tile, computed on first lookup.
+
+    Plan choice scores each candidate path as ``max(map(memo.__getitem__,
+    path))``: hits stay in C, and a miss calls ``eft`` once per tile.
+    """
+
+    __slots__ = ("eft",)
+
+    def __init__(self, eft) -> None:
+        super().__init__()
+        self.eft = eft
+
+    def __missing__(self, position: Position) -> float:
+        value = self[position] = self.eft(position)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +193,36 @@ class RescqPolicy(EventDrivenPolicy):
             self.mst = AsyncMstPipeline(self.layout, self.config.mst_period,
                                         self.config.mst_latency)
 
-        self.tasks: Dict[int, object] = {}
-        self.task_order: List[int] = []
-        #: The released-gate frontier only changes when a gate retires, so
-        #: scheduling passes skip the ready-scan until this flag is set again
-        #: by :meth:`_finish_gate` / :meth:`_finish_gates`.
-        self._ready_dirty = True
-        #: Per-entry queue cost of a pending Rz in :meth:`_expected_free_time`.
-        #: ``expected_cycles()`` is a pure function of the preparation model,
-        #: so the same float is produced every call.
-        self._rz_pending_cost = self.prep_model.expected_cycles() + 1.0
+        #: Live tasks by gate index, in creation (seniority) order.
+        self.tasks: Dict[int, _Task] = {}
+        #: Released gates that have no task yet: the initial frontier, then
+        #: whatever each retirement releases (see :meth:`_finish_gate`).
+        self._released: List[int] = list(self.lifecycle.dag.ready)
+        #: Queue cost of a pending entry by gate kind (the ``QueueEntry.cost``
+        #: that :meth:`_expected_free_time` sums).  ``expected_cycles()`` is a
+        #: pure function of the preparation model, so the same float is
+        #: produced every call.
+        self._entry_costs = {"rz": self.prep_model.expected_cycles() + 1.0,
+                             "cnot": self.costs.cnot_cycles,
+                             "h": self.costs.hadamard_cycles}
+
+        # The wake index (see :meth:`schedule_pass`), keyed by seniority.
+        self._next_seq = 1
+        #: Live tasks by seniority.
+        self._live: Dict[int, _Task] = {}
+        #: Seniorities woken for the next sweep.
+        self._pending: List[int] = []
+        #: Seniority heap of the sweep in progress.
+        self._sweep_heap: List[int] = []
+        #: Seniority of the task being visited, and the first seniority
+        #: created after the sweep began; both 0 between sweeps.
+        self._cursor = 0
+        self._bound = 0
+        #: ``(cycle, seq)`` heap of timed wakes.
+        self._timed: List[Tuple[int, int]] = []
+        #: Wake count, and how much of it the profile has been told about.
+        self._wakes = 0
+        self._wakes_reported = 0
 
         # next gate on each qubit after a given gate (for lookahead prep).
         self._next_on_qubit: Dict[Tuple[int, int], int] = {}
@@ -253,29 +306,49 @@ class RescqPolicy(EventDrivenPolicy):
 
     # -- task creation -----------------------------------------------------------
 
-    def _create_tasks_for_ready_gates(self) -> None:
-        for index in self.lifecycle.ready_by_priority():
+    def _create_tasks_for_released_gates(self) -> None:
+        """Create tasks for the gates released since the last call.
+
+        Critical-path-first, like the whole frontier sorted by
+        :meth:`~repro.circuits.dag.GateDependencyGraph.ready_by_priority`:
+        the gates released earlier already have their tasks.
+        """
+        released = self._released
+        self._released = []
+        critical_path = self.lifecycle.dag.critical_path_length
+        released.sort(key=lambda index: (-critical_path(index), index))
+        for index in released:
             task = self.tasks.get(index)
             if task is None:
                 self._create_task(index, released=True)
             elif isinstance(task, _RzTask) and not task.released:
+                # Created early by lookahead preparation; it may inject now.
                 task.released = True
                 task.release_cycle = self.lifecycle.release_cycle.get(
                     index, self.clock.now)
+                self._wake(task)
 
     def _create_task(self, index: int, released: bool) -> None:
         gate = self.circuit[index]
         kind = gate_kind(gate)
         if kind == "rz":
-            task: object = self._create_rz_task(index, gate, released)
+            task: _Task = self._create_rz_task(index, gate, released)
         elif kind == "cnot":
             task = self._create_cnot_task(index, gate)
         elif kind == "h":
             task = self._create_h_task(index, gate)
         else:  # pragma: no cover - free gates are stripped before simulation
             raise ValueError(f"unexpected gate kind {kind!r}")
+        seq = task.seq = self._next_seq
+        self._next_seq += 1
         self.tasks[index] = task
-        self.task_order.append(index)
+        self._live[seq] = task
+        task.wake_at = 0
+        # A new task is never ahead of the cursor: it is first visited by
+        # the next sweep.
+        task.woken = True
+        self._wakes += 1
+        self._pending.append(seq)
 
     def _rz_candidates(self, qubit: int) -> Tuple[List[Position], Dict[Position, object]]:
         """Candidate preparation ancillas for an Rz on ``qubit``.
@@ -345,8 +418,10 @@ class RescqPolicy(EventDrivenPolicy):
             release_cycle=(self.lifecycle.release_cycle.get(index)
                            if released else None),
         )
+        cost = self._entry_costs["rz"]
         for position in candidates:
-            entry = QueueEntry(index, "rz", (qubit,), AncillaRole.PREPARE)
+            entry = QueueEntry(index, "rz", (qubit,), AncillaRole.PREPARE,
+                               cost=cost)
             self.queues.enqueue(position, entry)
         return task
 
@@ -362,33 +437,17 @@ class RescqPolicy(EventDrivenPolicy):
         base = float(free if free > now else now)
         if position in fabric.anc_holding:
             base += 1.0
-        entries = self.queues[position].entries
-        if not entries:
-            return base
-        # Keep the historical accumulation order (pending summed apart, added
-        # to base once): float addition is not associative, and the golden
-        # traces pin the exact eft values.
-        pending = 0.0
-        rz_cost = self._rz_pending_cost
-        cnot_cost = self.costs.cnot_cycles
-        hadamard_cost = self.costs.hadamard_cycles
-        for entry in entries:
-            kind = entry.gate_kind
-            if kind == "rz":
-                pending += rz_cost
-            elif kind == "cnot":
-                pending += cnot_cost
-            else:
-                pending += hadamard_cost
-        return base + pending
+        # The historical accumulation order (pending summed apart, in entry
+        # order, added to base once): float addition is not associative, and
+        # the golden traces pin the exact eft values.
+        return base + self.queues[position].pending_cost
 
     def _choose_cnot_plan(self, control: int, target: int) -> RoutePlan:
         rotation_cost = self.costs.edge_rotation_cycles
         cnot_cycles = self.costs.cnot_cycles
         # Fabric state is frozen while scoring, so each tile's expected free
         # time is computed once even when candidate paths overlap.
-        eft_cache: Dict[Position, float] = {}
-        eft = self._expected_free_time
+        eft = _EftMemo(self._expected_free_time).__getitem__
 
         tree = self.mst.current if self.mst is not None else None
         if tree is not None:
@@ -411,18 +470,10 @@ class RescqPolicy(EventDrivenPolicy):
                     path = tree_path(control_attach, target_attach)
                     if path is None:
                         continue
-                    worst: Optional[float] = None
-                    for pos in path:
-                        value = eft_cache.get(pos)
-                        if value is None:
-                            value = eft(pos)
-                            eft_cache[pos] = value
-                        if worst is None or value > worst:
-                            worst = value
                     rotations = ((1 if control_rotation else 0)
                                  + (1 if target_rotation else 0))
-                    score = (rotation_cost * rotations + cnot_cycles + worst,
-                             len(path))
+                    score = (rotation_cost * rotations + cnot_cycles
+                             + max(map(eft, path)), len(path))
                     if best_score is None or score < best_score:
                         best_score = score
                         best = (control_attach, control_rotation,
@@ -450,15 +501,8 @@ class RescqPolicy(EventDrivenPolicy):
                 f"no ancilla path between qubits {control} and {target}")
 
         def score(plan: RoutePlan) -> Tuple[float, int]:
-            worst: Optional[float] = None
-            for pos in plan.path:
-                value = eft_cache.get(pos)
-                if value is None:
-                    value = eft(pos)
-                    eft_cache[pos] = value
-                if worst is None or value > worst:
-                    worst = value
-            expected = rotation_cost * plan.num_rotations + cnot_cycles + worst
+            expected = (rotation_cost * plan.num_rotations + cnot_cycles
+                        + max(map(eft, plan.path)))
             return (expected, len(plan.path))
 
         return min(plans, key=score)
@@ -466,12 +510,13 @@ class RescqPolicy(EventDrivenPolicy):
     def _create_cnot_task(self, index: int, gate: Gate) -> _CnotTask:
         with profile_timer(self.profile, "routing"):
             plan = self._choose_cnot_plan(gate.control, gate.target)
+        cost = self._entry_costs["cnot"]
         for position in plan.ancillas_used:
             role = AncillaRole.ROUTE
             if position in (plan.rotation_ancilla_control,
                             plan.rotation_ancilla_target):
                 role = AncillaRole.ROTATE
-            entry = QueueEntry(index, "cnot", gate.qubits, role)
+            entry = QueueEntry(index, "cnot", gate.qubits, role, cost=cost)
             self.queues.enqueue(position, entry)
         return _CnotTask(index, gate.control, gate.target, plan,
                          queues=[self.queues[position]
@@ -485,7 +530,8 @@ class RescqPolicy(EventDrivenPolicy):
         if not neighbors:
             raise RuntimeError(f"data qubit {qubit} has no ancilla neighbour")
         ancilla = min(neighbors, key=self._expected_free_time)
-        entry = QueueEntry(index, "h", (qubit,), AncillaRole.HELPER)
+        entry = QueueEntry(index, "h", (qubit,), AncillaRole.HELPER,
+                           cost=self._entry_costs["h"])
         self.queues.enqueue(ancilla, entry)
         return _HTask(index, qubit, ancilla,
                       release_cycle=self.lifecycle.release_cycle.get(
@@ -510,59 +556,120 @@ class RescqPolicy(EventDrivenPolicy):
     # -- the scheduling pass -------------------------------------------------------
 
     def schedule_pass(self) -> None:
+        """Visit every task that can make progress at the current cycle.
+
+        A sweep visits tasks in seniority (creation) order, but only the
+        tasks in the wake index: a blocked task is revisited only once
+        something it failed on changes (see :meth:`_wake`).  A visit that
+        would find its task still blocked changes nothing, so skipping it
+        leaves the run exactly as a sweep over every live task would.
+        """
+        timed = self._timed
+        live = self._live
+        now = self.clock.now
+        while timed and timed[0][0] <= now:
+            task = live.get(heappop(timed)[1])
+            if task is not None:
+                self._wake(task)
         # A pass can complete gates synchronously (Clifford-truncated
         # corrections) which releases successors; keep passing until the
         # frontier is stable so same-cycle progress is never missed.
         traces = self.lifecycle.traces
-        tasks = self.tasks
+        visits = 0
         while True:
+            if self._released:
+                self._create_tasks_for_released_gates()
+            heap = self._pending
+            if not heap:
+                break
             completed_before = len(traces)
-            # The ready frontier only moves when a gate retires; skip the
-            # scan entirely on the (common) passes where nothing did.
-            if self._ready_dirty:
-                self._ready_dirty = False
-                self._create_tasks_for_ready_gates()
-            # Retired gates leave tombstones in task_order; compact once they
-            # dominate (relative order — seniority — is preserved).
-            order = self.task_order
-            if len(order) > 64 and len(tasks) * 2 < len(order):
-                order = [index for index in order if index in tasks]
-                self.task_order = order
-            # Iterate in task-creation (seniority) order so that queue-head
-            # checks and resource grabs respect the order that enqueued them.
-            # The bound is captured up front: tasks appended mid-sweep (by
-            # lookahead preparation) wait for the next sweep, exactly like
-            # the historical ``list(order)`` snapshot — without the copy.
-            for sweep_index in range(len(order)):
-                task = tasks.get(order[sweep_index])
+            self._pending = []
+            heapify(heap)
+            self._sweep_heap = heap
+            # Tasks created from here on (lookahead) wait for the next sweep.
+            self._bound = self._next_seq
+            while heap:
+                seq = heappop(heap)
+                task = live.get(seq)
                 if task is None:
-                    continue
+                    continue  # retired since it was woken
+                self._cursor = seq
+                task.woken = False
                 if isinstance(task, _RzTask):
-                    if not task.done:
-                        self._advance_rz(task)
+                    self._advance_rz(task)
+                elif task.started:
+                    continue
                 elif isinstance(task, _CnotTask):
-                    if not task.started:
-                        self._try_start_cnot(task)
-                elif isinstance(task, _HTask):
-                    if not task.started:
-                        self._try_start_hadamard(task)
+                    self._try_start_cnot(task)
+                else:
+                    self._try_start_hadamard(task)
+                visits += 1
+            self._cursor = self._bound = 0
             if len(traces) == completed_before:
                 break
+        if self.profile is not None:
+            self.profile.add("task_visits", float(visits))
+            self.profile.add("tasks_woken",
+                             float(self._wakes - self._wakes_reported))
+            self._wakes_reported = self._wakes
 
-    def _ancilla_available(self, position: Position, gate_index: int) -> bool:
-        return (self.fabric.anc_free[position] <= self.clock.now
-                and self.fabric.anc_holding.get(position) in (None, gate_index)
-                and self.queues[position].is_at_head(gate_index))
+    def _wake(self, task: _Task) -> None:
+        """Schedule a visit to ``task``: this sweep if its seniority is still
+        ahead of the cursor, else the next sweep.
+
+        Wake sources: task creation and release, the task's own prep and
+        inject events, a hold released or a preparation truncated on a tile
+        it is queued on (:meth:`_tile_changed`; an injection start wakes its
+        own task this way, through the holds it consumes), a new head on one
+        of its queues (:meth:`_dequeue`), and timed wakes at the
+        ``anc_free`` / ``data_free`` cycle a visit was blocked on
+        (:meth:`_wake_at`).
+        """
+        if task.woken:
+            return
+        task.woken = True
+        self._wakes += 1
+        seq = task.seq
+        if self._cursor < seq < self._bound:
+            heappush(self._sweep_heap, seq)
+        else:
+            self._pending.append(seq)
+
+    def _wake_at(self, task: _Task, cycle: int) -> None:
+        """Wake ``task`` once the clock reaches ``cycle`` (> now)."""
+        pending = task.wake_at
+        if self.clock.now < pending <= cycle:
+            return  # an earlier timed wake is already registered
+        task.wake_at = cycle
+        heappush(self._timed, (cycle, task.seq))
+
+    def _tile_changed(self, position: Position) -> None:
+        """Wake every task queued on ``position``: its holder or its free
+        cycle moved.  Blocked Rz injections wait on their routing tile
+        without being at its head, so the whole queue is woken."""
+        tasks = self.tasks
+        for entry in self.queues[position].entries:
+            task = tasks.get(entry.gate_index)
+            if task is not None and not task.woken:
+                self._wake(task)
+
+    def _release_hold(self, position: Position) -> None:
+        self.fabric.release_hold(position)
+        self._tile_changed(position)
+
+    def _dequeue(self, gate_index: int, queues: List[AncillaQueue]) -> None:
+        """Remove a retiring gate from its queues; wake every new head."""
+        heads = [queue for queue in queues
+                 if queue.entries and queue.entries[0].gate_index == gate_index]
+        self.queues.remove_gate_everywhere(gate_index)
+        tasks = self.tasks
+        for queue in heads:
+            if queue.entries:
+                task = tasks[queue.entries[0].gate_index]
+                if not task.woken:
+                    self._wake(task)
 
     # -- Rz state machine ----------------------------------------------------------
-
-    def _prep_level(self, task: _RzTask) -> int:
-        """Which correction level candidates should be preparing right now."""
-        level = task.level
-        if self.config.eager_correction_prep:
-            if task.injecting or level in task.holding.values():
-                level += 1
-        return level
 
     def _advance_rz(self, task: _RzTask) -> None:
         if task.level >= task.limit:
@@ -573,7 +680,7 @@ class RescqPolicy(EventDrivenPolicy):
         self._maybe_start_injection(task)
 
     def _start_rz_preparations(self, task: _RzTask) -> None:
-        # ``_prep_level`` inlined: this runs for every live Rz on every pass.
+        # The correction level the candidates should be preparing right now.
         level = task.level
         if self.config.eager_correction_prep:
             if task.injecting or level in task.holding.values():
@@ -584,8 +691,11 @@ class RescqPolicy(EventDrivenPolicy):
         # Eligibility never depends on the durations drawn below (candidate
         # tiles are distinct), so the draws batch into one vectorised call —
         # stream-equivalent to the historical per-candidate scalar draws.
-        # The filter below is ``_ancilla_available`` inlined with hoisted
-        # lookups and the task's pre-resolved queue references.
+        # The filter uses hoisted lookups and the task's pre-resolved queue
+        # references.  It tests the queue head before the free cycle: a tile
+        # headed by another gate wakes this task through :meth:`_dequeue`
+        # once the head moves on, so only a busy tile this gate heads arms a
+        # timed wake.
         fabric = self.fabric
         anc_free = fabric.anc_free
         anc_holding = fabric.anc_holding
@@ -594,20 +704,26 @@ class RescqPolicy(EventDrivenPolicy):
         holding = task.holding
         current_level = task.level
         eligible = []
+        busy_until = 0
         for position, queue in zip(task.candidates, task.queues):
             if position in preparing:
                 continue
             if holding.get(position, -1) >= current_level:
                 continue
-            if anc_free[position] > now:
+            entries = queue.entries
+            if not entries or entries[0].gate_index != gate_index:
                 continue
             holder = anc_holding.get(position)
             if holder is not None and holder != gate_index:
                 continue
-            entries = queue.entries
-            if not entries or entries[0].gate_index != gate_index:
+            free = anc_free[position]
+            if free > now:
+                if busy_until == 0 or free < busy_until:
+                    busy_until = free
                 continue
             eligible.append((position, queue))
+        if busy_until:
+            self._wake_at(task, busy_until)
         if not eligible:
             return
         if len(eligible) == 1:
@@ -640,24 +756,29 @@ class RescqPolicy(EventDrivenPolicy):
         if attachment == "X":
             return [position], self.costs.cnot_injection_cycles
         router: Position = attachment  # diagonal candidate: route through this tile
+        free = self.fabric.anc_free[router]
+        if free > self.clock.now:
+            self._wake_at(task, free)
+            return None
         holder = self.fabric.anc_holding.get(router)
-        if (self.fabric.anc_free[router] <= self.clock.now
-                and holder in (None, task.gate_index)):
-            # The router may be holding one of *our own* eagerly prepared
-            # correction states; sacrificing it to unblock the injection is
-            # always worth it (extra successes "can be discarded if
-            # necessary", Section 3.2).
-            if holder == task.gate_index:
-                task.holding.pop(router, None)
-                self.fabric.release_hold(router)
-            return [position, router], self.costs.cnot_injection_cycles
-        return None
+        if holder not in (None, task.gate_index):
+            return None
+        # The router may be holding one of *our own* eagerly prepared
+        # correction states; sacrificing it to unblock the injection is
+        # always worth it (extra successes "can be discarded if necessary",
+        # Section 3.2).
+        if holder == task.gate_index:
+            task.holding.pop(router, None)
+            self._release_hold(router)
+        return [position, router], self.costs.cnot_injection_cycles
 
     def _maybe_start_injection(self, task: _RzTask) -> None:
         if task.injecting or not task.released or not task.holding:
             return
         now = self.clock.now
-        if self.fabric.data_free[task.qubit] > now:
+        free = self.fabric.data_free[task.qubit]
+        if free > now:
+            self._wake_at(task, free)
             return
         ready = [pos for pos, lvl in task.holding.items() if lvl == task.level]
         if not ready:
@@ -687,11 +808,11 @@ class RescqPolicy(EventDrivenPolicy):
             # The consumed state (and any surplus same-level states) are gone;
             # surplus holders immediately become eager-correction preparers.
             task.holding.pop(position, None)
-            self.fabric.release_hold(position)
+            self._release_hold(position)
             for other, level in list(task.holding.items()):
                 if level == task.level:
                     task.holding.pop(other)
-                    self.fabric.release_hold(other)
+                    self._release_hold(other)
             if self.profile is not None:
                 self.profile.add("sim_injection_cycles", float(duration))
             self.clock.push(finish, "inject",
@@ -707,6 +828,8 @@ class RescqPolicy(EventDrivenPolicy):
         if info is None or info[0] != finish:
             return  # stale event (preparation was cancelled)
         task.preparing.pop(position)
+        if not task.woken:
+            self._wake(task)
         level = info[1]
         if level < task.level:
             return  # the chain moved past this level; discard the state
@@ -762,6 +885,7 @@ class RescqPolicy(EventDrivenPolicy):
 
     def _apply_injection_outcome(self, task: _RzTask, success: bool) -> None:
         task.injecting = False
+        self._wake(task)
         if success:
             self._complete_rz(task)
             return
@@ -776,11 +900,12 @@ class RescqPolicy(EventDrivenPolicy):
         for position in task.preparing:
             # Terminate in-flight preparations immediately (Figure 7, t=5).
             self.fabric.truncate_ancilla(position, now)
+            self._tile_changed(position)
         task.preparing.clear()
         for position in list(task.holding):
-            self.fabric.release_hold(position)
+            self._release_hold(position)
         task.holding.clear()
-        self.queues.remove_gate_everywhere(task.gate_index)
+        self._dequeue(task.gate_index, task.queues)
         scheduled = task.release_cycle if task.release_cycle is not None else now
         start = task.first_start if task.first_start is not None else scheduled
         self._finish_gate(GateTrace(
@@ -795,23 +920,30 @@ class RescqPolicy(EventDrivenPolicy):
         now = self.clock.now
         fabric = self.fabric
         data_free = fabric.data_free
-        if data_free[task.control] > now or data_free[task.target] > now:
+        control_free = data_free[task.control]
+        target_free = data_free[task.target]
+        if control_free > now or target_free > now:
+            self._wake_at(task, control_free if control_free > target_free
+                          else target_free)
             return
-        # ``_ancilla_available`` inlined over the plan tiles: a blocked CNOT
-        # is re-polled every pass, so this is the large-fabric hot loop.
+        # Every plan tile must have this gate at the head of its queue, be
+        # unheld (or held by this gate) and free; head first, as in
+        # :meth:`_start_rz_preparations`.
         gate_index = task.gate_index
         anc_free = fabric.anc_free
         anc_holding = fabric.anc_holding
         resources = task.plan.ancillas_used
         task_queues = task.queues
         for position, queue in zip(resources, task_queues):
-            if anc_free[position] > now:
+            entries = queue.entries
+            if not entries or entries[0].gate_index != gate_index:
                 return
             holder = anc_holding.get(position)
             if holder is not None and holder != gate_index:
                 return
-            entries = queue.entries
-            if not entries or entries[0].gate_index != gate_index:
+            free = anc_free[position]
+            if free > now:
+                self._wake_at(task, free)
                 return
         duration = task.plan.duration(self.costs)
         finish = now + duration
@@ -835,7 +967,7 @@ class RescqPolicy(EventDrivenPolicy):
             self.orientation.rotate(task.control)
         if task.plan.target_rotation:
             self.orientation.rotate(task.target)
-        self.queues.remove_gate_everywhere(task.gate_index)
+        self._dequeue(task.gate_index, task.queues)
         return GateTrace(
             task.gate_index, "cnot", (task.control, task.target),
             scheduled_cycle=task.release_cycle,
@@ -862,9 +994,19 @@ class RescqPolicy(EventDrivenPolicy):
 
     def _try_start_hadamard(self, task: _HTask) -> None:
         now = self.clock.now
-        if self.fabric.data_free[task.qubit] > now:
+        fabric = self.fabric
+        free = fabric.data_free[task.qubit]
+        if free > now:
+            self._wake_at(task, free)
             return
-        if not self._ancilla_available(task.ancilla, task.gate_index):
+        ancilla = task.ancilla
+        if (not self.queues[ancilla].is_at_head(task.gate_index)
+                or fabric.anc_holding.get(ancilla) not in (None,
+                                                           task.gate_index)):
+            return
+        free = fabric.anc_free[ancilla]
+        if free > now:
+            self._wake_at(task, free)
             return
         duration = self.costs.hadamard_cycles
         finish = now + duration
@@ -881,7 +1023,7 @@ class RescqPolicy(EventDrivenPolicy):
         """Apply a Hadamard completion's side effects and build its trace."""
         # A logical Hadamard exchanges the patch's X and Z boundaries.
         self.orientation.rotate(task.qubit)
-        self.queues.remove_gate_everywhere(task.gate_index)
+        self._dequeue(task.gate_index, [self.queues[task.ancilla]])
         return GateTrace(
             task.gate_index, "h", (task.qubit,),
             scheduled_cycle=task.release_cycle,
@@ -908,19 +1050,19 @@ class RescqPolicy(EventDrivenPolicy):
     # -- completion plumbing ----------------------------------------------------------
 
     def _finish_gate(self, trace: GateTrace) -> None:
-        self.lifecycle.retire(trace, self.clock.now)
-        self.tasks.pop(trace.gate_index, None)
-        self._ready_dirty = True
+        self._released.extend(self.lifecycle.retire(trace, self.clock.now))
+        del self._live[self.tasks.pop(trace.gate_index).seq]
 
     def _finish_gates(self, traces: List[GateTrace]) -> None:
         """Retire an ordered batch of traces with one lifecycle call."""
         if not traces:
             return
-        self.lifecycle.retire_many(traces, self.clock.now)
+        self._released.extend(self.lifecycle.retire_many(traces,
+                                                         self.clock.now))
         pop = self.tasks.pop
+        live = self._live
         for trace in traces:
-            pop(trace.gate_index, None)
-        self._ready_dirty = True
+            del live[pop(trace.gate_index).seq]
 
 
 class RescqScheduler(Scheduler):
