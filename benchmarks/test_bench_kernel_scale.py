@@ -1,12 +1,14 @@
 """Large-fabric scale benchmark — the routing-core trajectory (ISSUE 8).
 
 Where ``test_bench_kernel_throughput`` tracks the small-fabric Figure 10
-workload, this benchmark pins the two scale points the vectorised routing
-core exists for:
+workload, this benchmark pins the large-fabric scale points, where cold
+routing (one full BFS parent tree per attachment ancilla of a fresh
+layout) is a leading cost:
 
 * ``tiles1k``  — a 250-qubit clifford+Rz scenario on a 1024-tile STAR
-  fabric (~3.7k gates), run under BOTH the ``vector`` and the reference
-  ``python`` routing backends so the backend comparison is recorded.
+  fabric (~3.7k gates), run under BOTH the ``vector`` backend (FIFO BFS
+  over the flat adjacency lists, memoised parent trees) and the reference
+  ``python`` object-graph BFS so the backend comparison is recorded.
 * ``gates100k`` — the same fabric with a >100k-gate circuit, run under the
   ``vector`` backend only (a single pass already takes ~1 wall-minute; the
   byte-identical goldens cover python-backend correctness).

@@ -27,7 +27,7 @@ _NUMBA_HINT = "pip install repro[numba]"
 
 _DESCRIPTIONS = {
     ("routing", "python"): "reference per-tile BFS",
-    ("routing", "vector"): "batched numpy BFS over the flat grid",
+    ("routing", "vector"): "flat-list BFS with memoised parent trees",
     ("routing", "numba"): "compiled BFS kernel",
     ("kernel", "python"): "reference per-event heap dispatch",
     ("kernel", "batched"): "cycle-bucketed boundary drain, batched dispatch",

@@ -3,7 +3,9 @@
 The object-graph layout (``Tile`` dataclasses in dicts, neighbour lists of
 tuples) is convenient for construction and mutation but slow to traverse in
 the routing/MST hot loops.  :class:`FlatGrid` flattens one layout *revision*
-into numpy arrays:
+into numpy arrays, plus python tuples where a hot loop reads one element
+at a time (indexing a tuple returns a python int; indexing an array boxes
+a numpy scalar):
 
 * ``row * cols + col`` is the **flat index** of a tile — note that comparing
   flat indices is exactly the row-major tuple order of ``Position``;
@@ -12,6 +14,9 @@ into numpy arrays:
   order (NORTH, SOUTH, EAST, WEST), ``-1`` where the neighbour is out of
   bounds, disabled or not an ancilla — the exact transition relation of
   :func:`~repro.lattice.routing.bfs_ancilla_path`;
+* ``route_adjacency`` is the same relation as python tuples: per tile,
+  its routable neighbours' flat indices in Edge order, or ``None`` for a
+  tile that is not an ancilla — what the routing BFS walks;
 * ancilla tiles additionally get a dense **slot** numbering in row-major
   order (matching :meth:`GridLayout.ancilla_positions`), with a per-slot
   Edge-order neighbour table and the activity-graph edge list
@@ -25,7 +30,7 @@ disable/enable.  Consumers must treat every array as read-only.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +48,7 @@ class FlatGrid:
 
     __slots__ = (
         "layout", "version", "rows", "cols", "size",
-        "ancilla_mask", "active_mask", "route_neighbors",
+        "ancilla_mask", "active_mask", "route_neighbors", "route_adjacency",
         "num_ancilla", "anc_flat", "anc_slot", "anc_neighbor_slots",
         "edge_u", "edge_v", "_positions", "anc_positions",
     )
@@ -85,6 +90,12 @@ class FlatGrid:
             keep[valid] &= ancilla_mask[column[valid]]
             route_neighbors[keep, axis] = column[keep]
         self.route_neighbors = route_neighbors
+        # Tuples of ints, which the cyclic collector stops tracking.
+        self.route_adjacency: Tuple[Optional[Tuple[int, ...]], ...] = tuple(
+            tuple(neighbor for neighbor in row if neighbor >= 0)
+            if is_ancilla else None
+            for row, is_ancilla in zip(route_neighbors.tolist(),
+                                       ancilla_mask.tolist()))
 
         # Dense ancilla slots in row-major (== flat index) order; matches
         # GridLayout.ancilla_positions() exactly.
@@ -134,17 +145,6 @@ class FlatGrid:
 
     def position(self, flat_index: int) -> Position:
         return self._positions[flat_index]
-
-    def blocked_mask(self, blocked) -> Optional[np.ndarray]:
-        """Boolean size-array marking blocked flat indices (None when empty)."""
-        if not blocked:
-            return None
-        mask = np.zeros(self.size, dtype=bool)
-        for position in blocked:
-            flat = self.flat_index(position)
-            if flat >= 0:
-                mask[flat] = True
-        return mask
 
     # -- cache ------------------------------------------------------------------
 

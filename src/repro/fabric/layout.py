@@ -264,7 +264,6 @@ class GridLayout:
         # RoutingIndex.for_layout / FlatGrid.for_layout) are per-process
         # caches; keep them out of pickles shipped to workers.
         state = self.__dict__.copy()
-        state.pop("_routing_index", None)
         state.pop("_routing_indices", None)
         state.pop("_flat_grid", None)
         return state

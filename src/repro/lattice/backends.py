@@ -7,29 +7,36 @@ but with different machinery:
 * ``python`` — the reference: the original object-graph FIFO BFS
   (:func:`~repro.lattice.routing.bfs_ancilla_path`).  Always available,
   always correct; the other backends are validated against it.
-* ``vector`` — batched level-synchronous BFS over the
-  :class:`~repro.fabric.flat.FlatGrid` int32 neighbour table.  One numpy
-  pass expands a whole frontier; full parent trees are memoised per source
-  (and per layout revision) so repeated goals cost one array walk.
-* ``numba`` — the same flat-array BFS compiled with ``numba.njit``
-  (optional dependency, ``pip install repro[numba]``).  Import-guarded:
-  selecting it without numba installed raises with an install hint.
+* ``vector`` — the same FIFO BFS over the
+  :class:`~repro.fabric.flat.FlatGrid` flat adjacency lists
+  (``route_adjacency``: python ints, so nothing is boxed).  Full parent
+  trees are memoised per source (and per layout revision) as tuples of
+  python ints, so repeated goals cost one walk up the tree.  It is a
+  scalar loop, not a numpy frontier sweep: a 1024-tile fabric has ~50 BFS
+  levels of ~15 tiles, too few per numpy call to pay its overhead.  (The
+  name predates this kernel and stays because backend names are part of
+  job fingerprints.)
+* ``numba`` — the flat BFS compiled with ``numba.njit`` over the int32
+  ``route_neighbors`` table (optional dependency,
+  ``pip install repro[numba]``).  Import-guarded: selecting it without
+  numba installed raises with an install hint.
 
-Exactness argument (why the vector BFS is byte-identical): the reference
-BFS pops nodes FIFO — i.e. in discovery order — and scans neighbours in
-``Edge`` declaration order, so a node's parent is the first (discovery
-order x Edge order) neighbour that reaches it.  The vector expansion
-flattens ``neighbor_table[frontier]`` row-major, which is exactly that
-order, and keeps the *first* occurrence of each newly discovered node
-(``np.unique`` + first-index sort), so every parent assignment matches.
-Parents are never reassigned, so the full parent tree computed without
-early termination reconstructs the same path an early-terminating search
-would have returned.
+Exactness argument (why the flat BFS is byte-identical): it keeps the
+reference's own rule.  Tiles are popped FIFO, i.e. in discovery order; each
+popped tile scans its neighbours in ``Edge`` declaration order, which is
+the order of every ``route_adjacency`` list; the first claim on a tile sets
+its parent and is never overwritten.  So every parent equals the
+reference's.  The reference stops as soon as it claims the goal, but
+because claims are final, a full tree built without stopping gives the
+goal the same parent chain — one memoised tree serves every goal of its
+source.  A blocked query marks its blocked tiles as claimed before the
+search starts, which is the reference's ``neighbor in blocked`` skip, and
+stops once the goal is claimed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -85,74 +92,60 @@ class PythonBackend(RoutingBackend):
 
 
 class VectorBackend(RoutingBackend):
-    """Batched numpy BFS over the flat neighbour table."""
+    """FIFO BFS over the flat adjacency lists, with memoised parent trees."""
 
     name = "vector"
 
     def __init__(self) -> None:
-        #: source flat index -> full parent array for the current revision.
-        self._parent_trees: Dict[int, np.ndarray] = {}
-        self._tree_version: Optional[int] = None
+        #: source flat index -> full parent tree of ``_tree_grid``.
+        self._parent_trees: Dict[int, Tuple[int, ...]] = {}
+        #: The FlatGrid revision the memoised trees were built on.
+        self._tree_grid: Optional[FlatGrid] = None
 
     def invalidate(self) -> None:
         self._parent_trees.clear()
-        self._tree_version = None
+        self._tree_grid = None
 
     # -- the BFS kernel --------------------------------------------------------
 
     def _compute_parents(self, flat: FlatGrid, source: int,
-                         blocked_mask: Optional[np.ndarray],
-                         goal: int) -> np.ndarray:
-        """Parent array of the BFS from ``source`` (-1 = unreached).
+                         blocked: Iterable[int], goal: int) -> List[int]:
+        """Parent tree of the FIFO BFS from ``source`` (-1 = unreached).
 
-        ``goal >= 0`` allows early termination once the goal is claimed
-        (used for one-shot blocked queries; memoised trees pass ``-1`` so
-        the tree serves every future goal).
+        ``blocked`` flat indices count as claimed before the search starts,
+        so the first-claim rule never hands them out; only the path to a
+        goal that is not blocked itself may be read from such a tree.
+        ``goal >= 0`` stops the search once the goal is claimed (one-shot
+        blocked queries); memoised trees pass ``-1`` so the tree serves
+        every future goal.
         """
-        parents = np.full(flat.size, -1, dtype=np.int32)
+        adjacency = flat.route_adjacency
+        parents = [-1] * flat.size
+        for tile in blocked:
+            parents[tile] = tile
         parents[source] = source
-        frontier = np.array([source], dtype=np.int32)
-        neighbor_table = flat.route_neighbors
-        # Scratch for the first-claim scatter below; every candidate cell is
-        # rewritten each round, so stale entries are never read.
-        winner = np.empty(flat.size, dtype=np.int32)
-        while frontier.size:
-            candidates = neighbor_table[frontier].ravel()
-            claimants = np.repeat(frontier, 4)
-            keep = candidates >= 0
-            candidates = candidates[keep]
-            claimants = claimants[keep]
-            if blocked_mask is not None:
-                keep = ~blocked_mask[candidates]
-                candidates = candidates[keep]
-                claimants = claimants[keep]
-            keep = parents[candidates] < 0
-            candidates = candidates[keep]
-            claimants = claimants[keep]
-            if candidates.size == 0:
-                break
-            # First occurrence wins, in discovery (claimant x Edge) order.
-            # Double-scatter instead of np.unique (which sorts): writing the
-            # claims reversed makes the earliest claim the last write, then
-            # comparing each claim's slot against its own index keeps exactly
-            # the first occurrence of every cell, in original order.
-            order = np.arange(candidates.size, dtype=np.int32)
-            winner[candidates[::-1]] = order[::-1]
-            first = winner[candidates] == order
-            candidates = candidates[first]
-            parents[candidates] = claimants[first]
-            if goal >= 0 and parents[goal] >= 0:
-                break
-            frontier = candidates
+        queue = [source]
+        # Iterating a list that grows under the loop is the FIFO pop.
+        for current in queue:
+            for neighbor in adjacency[current]:
+                if parents[neighbor] < 0:
+                    parents[neighbor] = current
+                    if neighbor == goal:
+                        return parents
+                    queue.append(neighbor)
         return parents
 
-    def _parents_for(self, flat: FlatGrid, source: int) -> np.ndarray:
-        if self._tree_version != flat.version:
-            self.invalidate()
-            self._tree_version = flat.version
+    def _parents_for(self, flat: FlatGrid, source: int) -> Tuple[int, ...]:
+        if self._tree_grid is not flat:
+            self._parent_trees.clear()
+            self._tree_grid = flat
         parents = self._parent_trees.get(source)
         if parents is None:
-            parents = self._compute_parents(flat, source, None, -1)
+            # Stored as a tuple: the cyclic collector stops tracking a
+            # tuple of ints, so memoised trees add nothing to its full
+            # collections (as lists, 2000 trees at 4096 tiles doubled the
+            # time of one).
+            parents = tuple(self._compute_parents(flat, source, (), -1))
             self._parent_trees[source] = parents
         return parents
 
@@ -163,19 +156,21 @@ class VectorBackend(RoutingBackend):
                       blocked: Optional[Set[Position]] = None
                       ) -> Optional[List[Position]]:
         flat = FlatGrid.for_layout(layout)
+        adjacency = flat.route_adjacency
         start_flat = flat.flat_index(start)
         goal_flat = flat.flat_index(goal)
         if (start_flat < 0 or goal_flat < 0
-                or not flat.ancilla_mask[start_flat]
-                or not flat.ancilla_mask[goal_flat]):
+                or adjacency[start_flat] is None
+                or adjacency[goal_flat] is None):
             return None
         if blocked and (start in blocked or goal in blocked):
             return None
         if start_flat == goal_flat:
             return [start]
         if blocked:
-            parents = self._compute_parents(flat, start_flat,
-                                            flat.blocked_mask(blocked),
+            blocked_flats = [index for index in map(flat.flat_index, blocked)
+                             if index >= 0]
+            parents = self._compute_parents(flat, start_flat, blocked_flats,
                                             goal_flat)
         else:
             parents = self._parents_for(flat, start_flat)
@@ -185,18 +180,20 @@ class VectorBackend(RoutingBackend):
         path = [positions[goal_flat]]
         current = goal_flat
         while current != start_flat:
-            current = int(parents[current])
+            current = parents[current]
             path.append(positions[current])
         path.reverse()
         return path
 
 
 class NumbaBackend(VectorBackend):
-    """The flat-array BFS compiled with ``numba.njit``.
+    """The flat BFS compiled with ``numba.njit``.
 
-    The compiled kernel is a scalar FIFO BFS over the same int32 neighbour
-    table — the first-claim parent rule is the loop order itself, so its
-    parent arrays are identical to both reference implementations.
+    The compiled kernel is a scalar FIFO BFS over the int32
+    ``route_neighbors`` table — the first-claim parent rule is the loop
+    order itself, so its parent arrays are identical to both other
+    backends.  They are converted to python ints, so every memoised tree
+    goes through the same path reconstruction.
     """
 
     name = "numba"
@@ -211,12 +208,12 @@ class NumbaBackend(VectorBackend):
         self._kernel = _build_numba_kernel()
 
     def _compute_parents(self, flat: FlatGrid, source: int,
-                         blocked_mask: Optional[np.ndarray],
-                         goal: int) -> np.ndarray:
-        if blocked_mask is None:
-            blocked_mask = np.zeros(0, dtype=np.bool_)
+                         blocked: Iterable[int], goal: int) -> List[int]:
+        blocked = list(blocked)
+        blocked_mask = np.zeros(flat.size if blocked else 0, dtype=np.bool_)
+        blocked_mask[blocked] = True
         return self._kernel(flat.route_neighbors, np.int32(source),
-                            blocked_mask, np.int32(goal))
+                            blocked_mask, np.int32(goal)).tolist()
 
 
 def _build_numba_kernel():

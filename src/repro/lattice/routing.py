@@ -235,9 +235,9 @@ class RoutingIndex:
 
     Shortest-path queries are delegated to a pluggable
     :class:`~repro.lattice.backends.RoutingBackend` (``python`` reference
-    BFS, batched numpy ``vector`` BFS, or the optional compiled ``numba``
-    kernel) — all byte-identical, selected via
-    ``SimulationConfig(routing_backend=...)``.
+    BFS, the ``vector`` BFS over flat adjacency lists with memoised parent
+    trees, or the optional compiled ``numba`` kernel) — all byte-identical,
+    selected via ``SimulationConfig(routing_backend=...)``.
 
     One index per (layout, backend) is typically shared via
     :meth:`for_layout`, so repeated runs (seed sweeps) reuse each other's

@@ -52,9 +52,10 @@ class SimulationConfig:
         observability: simulated results are identical either way.
     routing_backend:
         Shortest-path machinery behind the routing index: ``"python"``
-        (reference BFS), ``"vector"`` (batched numpy BFS, the default) or
-        ``"numba"`` (compiled kernel, optional dependency).  All backends
-        produce byte-identical traces; only wall-clock speed differs.
+        (reference BFS), ``"vector"`` (flat-list BFS with memoised parent
+        trees, the default) or ``"numba"`` (compiled kernel, optional
+        dependency).  All backends produce byte-identical traces; only
+        wall-clock speed differs.
     kernel_backend:
         Event engine behind the simulation kernel: ``"python"`` (reference
         per-event heap), ``"batched"`` (cycle-bucketed boundary drain, the

@@ -323,10 +323,21 @@ class TestRoutingIndex:
 
     def test_for_layout_is_shared_and_survives_pickle_strip(self, star9):
         import pickle
-        index = RoutingIndex.for_layout(star9)
-        assert RoutingIndex.for_layout(star9) is index
+        cold_size = len(pickle.dumps(star9))
+        index = RoutingIndex.for_layout(star9, backend="vector")
+        assert RoutingIndex.for_layout(star9, backend="vector") is index
+        # Warm every per-process cache: the flat grid, the backend's parent
+        # trees (python lists), the memoised paths and plans.
+        ancillas = star9.ancilla_positions()
+        for goal in ancillas[1:]:
+            index.path(ancillas[0], goal)
+        index.enumerate_plans(OrientationTracker(9), 0, 8)
+        assert index.backend._parent_trees
+        assert hasattr(star9, "_flat_grid")
+        assert len(pickle.dumps(star9)) == cold_size
         clone = pickle.loads(pickle.dumps(star9))
-        assert not hasattr(clone, "_routing_index")
+        assert not hasattr(clone, "_routing_indices")
+        assert not hasattr(clone, "_flat_grid")
 
     def test_disable_invalidates_only_touched_entries(self, star9):
         index = RoutingIndex(star9)

@@ -9,6 +9,8 @@ scenario-generator circuits.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro import SimulationConfig
 from repro.analysis.export import result_to_dict
-from repro.fabric import StarVariant, star_layout
+from repro.fabric import StarVariant, compress_layout, star_layout
 from repro.fabric.flat import FlatGrid
 from repro.kernel.fabric_state import FabricState
 from repro.lattice import (
@@ -25,6 +27,7 @@ from repro.lattice import (
     get_backend,
     numba_available,
 )
+from repro.lattice.backends import NumbaBackend, VectorBackend
 from repro.scheduling import SCHEDULER_REGISTRY
 from repro.sim.runner import default_layout
 from repro.workloads.scenarios import clifford_rz_circuit
@@ -61,6 +64,32 @@ class TestFlatGrid:
         assert rebuilt is not flat
         assert rebuilt.flat_index(victim) == -1 or \
             rebuilt.anc_slot[rebuilt.flat_index(victim)] == -1
+
+    def test_route_adjacency_is_the_neighbor_table_as_tuples(self):
+        layout = star_layout(6, StarVariant.STAR)
+        flat = FlatGrid.for_layout(layout)
+        for index, row in enumerate(flat.route_neighbors.tolist()):
+            if flat.ancilla_mask[index]:
+                assert flat.route_adjacency[index] == tuple(n for n in row
+                                                            if n >= 0)
+            else:
+                assert flat.route_adjacency[index] is None
+
+    def test_route_adjacency_is_rebuilt_with_the_layout_version(self):
+        layout = star_layout(6, StarVariant.STAR)
+        original = FlatGrid.for_layout(layout).route_adjacency
+        victim = layout.ancilla_positions()[7]
+        layout.disable(victim)
+        disabled = FlatGrid.for_layout(layout)
+        victim_flat = disabled.flat_index(victim)
+        assert disabled.route_adjacency is not original
+        assert disabled.route_adjacency[victim_flat] is None
+        assert all(victim_flat not in row
+                   for row in disabled.route_adjacency if row is not None)
+        layout.enable_ancilla(victim)
+        enabled = FlatGrid.for_layout(layout)
+        assert enabled.route_adjacency is not disabled.route_adjacency
+        assert enabled.route_adjacency == original
 
     def test_ancilla_slots_are_row_major(self):
         layout = star_layout(5, StarVariant.STAR)
@@ -124,6 +153,107 @@ class TestShortestPathParity:
 
 
 # ---------------------------------------------------------------------------
+# Exactness at fabric scale: the 1024-tile fabric1k layout
+# ---------------------------------------------------------------------------
+
+def _reference_tree(layout, start):
+    """Full parent map of the object-graph FIFO BFS (no early stop)."""
+    parents = {start: start}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for neighbor in layout.neighbors(current):
+            if neighbor in parents or not layout.is_ancilla(neighbor):
+                continue
+            parents[neighbor] = current
+            queue.append(neighbor)
+    return parents
+
+
+def _fabric1k_layout():
+    """The 32x32 STAR fabric of perfbench's ``fabric1k`` workload."""
+    return default_layout(clifford_rz_circuit(n=250, depth=20, seed=0))
+
+
+def _assert_trees_and_paths_match(layout, seed, sources=6, goals=20):
+    backend = get_backend("vector")
+    flat = FlatGrid.for_layout(layout)
+    ancillas = layout.ancilla_positions()
+    rng = np.random.default_rng(seed)
+    for source_index in rng.choice(len(ancillas), size=sources,
+                                   replace=False):
+        source = ancillas[source_index]
+        for goal_index in rng.integers(0, len(ancillas), size=goals):
+            goal = ancillas[goal_index]
+            assert (backend.shortest_path(layout, source, goal)
+                    == bfs_ancilla_path(layout, source, goal))
+        tree = backend._parents_for(flat, flat.flat_index(source))
+        assert backend._parents_for(flat, flat.flat_index(source)) is tree
+        reached = {flat.position(index): flat.position(parent)
+                   for index, parent in enumerate(tree) if parent >= 0}
+        assert reached == _reference_tree(layout, source)
+
+
+class TestExactnessAtScale:
+    def test_fabric1k_trees_and_paths_match_reference(self):
+        layout = _fabric1k_layout()
+        assert layout.rows * layout.cols == 1024
+        _assert_trees_and_paths_match(layout, seed=11)
+
+    def test_compressed_layout_matches_reference(self):
+        layout, _report = compress_layout(_fabric1k_layout(), 0.5, seed=4)
+        assert layout.num_ancilla < _fabric1k_layout().num_ancilla
+        _assert_trees_and_paths_match(layout, seed=12)
+
+    def test_disable_enable_cycle_matches_reference(self):
+        layout = _fabric1k_layout()
+        backend = get_backend("vector")
+        ancillas = layout.ancilla_positions()
+        start, goal = ancillas[0], ancillas[-1]
+        before = backend.shortest_path(layout, start, goal)
+        assert before == bfs_ancilla_path(layout, start, goal)
+        victim = before[len(before) // 2]
+        # No explicit invalidate(): a new layout revision alone must
+        # retire the memoised trees.
+        layout.disable(victim)
+        detour = backend.shortest_path(layout, start, goal)
+        assert detour == bfs_ancilla_path(layout, start, goal)
+        assert victim not in detour
+        layout.enable_ancilla(victim)
+        assert backend.shortest_path(layout, start, goal) == before
+        _assert_trees_and_paths_match(layout, seed=13, sources=3)
+
+    def test_blocked_queries_stop_early_and_match_reference(self):
+        layout = _fabric1k_layout()
+        backend = get_backend("vector")
+        flat = FlatGrid.for_layout(layout)
+        ancillas = layout.ancilla_positions()
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            blocked = {ancillas[i] for i in
+                       rng.choice(len(ancillas), size=60, replace=False)}
+            blocked.add((-1, 0))  # off-grid entries are ignored
+            blocked.add(layout.data_position(0))
+            start, goal = (ancillas[int(i)] for i in
+                           rng.integers(0, len(ancillas), size=2))
+            assert (backend.shortest_path(layout, start, goal, blocked)
+                    == bfs_ancilla_path(layout, start, goal, blocked))
+        # Walling the goal in makes it unreachable.
+        start, goal = ancillas[0], ancillas[len(ancillas) // 2]
+        walls = set(layout.ancilla_neighbors(goal))
+        assert backend.shortest_path(layout, start, goal, walls) is None
+        assert bfs_ancilla_path(layout, start, goal, walls) is None
+        # A near goal is answered before the whole fabric is claimed.
+        start_flat = flat.flat_index(start)
+        near = flat.route_adjacency[start_flat][0]
+        stopped = backend._compute_parents(flat, start_flat, (), near)
+        full = backend._compute_parents(flat, start_flat, (), -1)
+        assert stopped[near] == full[near] == start_flat
+        assert (sum(parent >= 0 for parent in stopped)
+                < sum(parent >= 0 for parent in full))
+
+
+# ---------------------------------------------------------------------------
 # Backend registry
 # ---------------------------------------------------------------------------
 
@@ -161,6 +291,46 @@ class TestBackendRegistry:
                            rng.integers(0, len(ancillas), size=2))
             assert (backend.shortest_path(layout, start, goal)
                     == bfs_ancilla_path(layout, start, goal))
+
+
+    def test_numba_glue_with_a_stand_in_kernel(self):
+        """The numba backend's python side (blocked mask, list conversion,
+        path reconstruction) with an uncompiled stand-in for its kernel."""
+        def kernel(neighbor_table, source, blocked_mask, goal):
+            parents = np.full(neighbor_table.shape[0], -1, dtype=np.int32)
+            parents[source] = source
+            queue = deque([int(source)])
+            while queue:
+                current = queue.popleft()
+                for neighbor in neighbor_table[current]:
+                    if neighbor < 0 or parents[neighbor] >= 0:
+                        continue
+                    if blocked_mask.size and blocked_mask[neighbor]:
+                        continue
+                    parents[neighbor] = current
+                    if neighbor == goal:
+                        return parents
+                    queue.append(int(neighbor))
+            return parents
+
+        backend = NumbaBackend.__new__(NumbaBackend)
+        VectorBackend.__init__(backend)
+        backend._kernel = kernel
+        layout = star_layout(6, StarVariant.STAR)
+        ancillas = layout.ancilla_positions()
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            blocked = {ancillas[i] for i in
+                       rng.choice(len(ancillas), size=5, replace=False)}
+            start, goal = (ancillas[int(i)] for i in
+                           rng.integers(0, len(ancillas), size=2))
+            assert (backend.shortest_path(layout, start, goal)
+                    == bfs_ancilla_path(layout, start, goal))
+            assert (backend.shortest_path(layout, start, goal, blocked)
+                    == bfs_ancilla_path(layout, start, goal, blocked))
+        for tree in backend._parent_trees.values():
+            assert type(tree) is tuple
+            assert all(type(parent) is int for parent in tree)
 
 
 # ---------------------------------------------------------------------------
